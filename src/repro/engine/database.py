@@ -26,10 +26,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra import build_plan
+from ..algebra import JoinGraph, LogicalGet, build_plan
 from ..catalog import Catalog, IndexKind, TableInfo
-from ..executor import ExecContext, ExecMetrics, run
-from ..expr import Literal
+from ..executor import ExecContext, ExecMetrics, index_entries, run
+from ..expr import Literal, compile_predicate, split_conjuncts
 from ..obs import (
     ActivityRegistry,
     AutoExplain,
@@ -57,8 +57,16 @@ from ..obs import (
     statement_fingerprint,
     trace_span,
 )
-from ..optimizer import CostModel, Planner, PlannerOptions, PlannerStats
-from ..physical import PhysicalPlan, walk_plan
+from ..optimizer import (
+    CostModel,
+    Estimator,
+    Planner,
+    PlannerOptions,
+    PlannerStats,
+    StatsResolver,
+    access_paths,
+)
+from ..physical import PhysicalPlan, PSeqScan, walk_plan
 from ..sql import (
     AnalyzeStmt,
     BeginStmt,
@@ -528,13 +536,13 @@ class Database:
                         kind = "insert"
                         result = QueryResult(rows=[], columns=[])
                     elif isinstance(stmt, DeleteStmt):
-                        count = self._delete(stmt)
+                        count = self._delete(stmt, sp)
                         kind = "delete"
                         result = QueryResult(
                             rows=[(count,)], columns=["deleted"]
                         )
                     else:
-                        count = self._update(stmt)
+                        count = self._update(stmt, sp)
                         kind = "update"
                         result = QueryResult(
                             rows=[(count,)], columns=["updated"]
@@ -929,7 +937,7 @@ class Database:
         correlated aggregates, subqueries under OR) are left alone and fail
         later with a clear error if genuinely correlated.
         """
-        from ..expr import ColumnRef, SubqueryExpr, eq, split_conjuncts
+        from ..expr import ColumnRef, SubqueryExpr, eq
         from ..sql.ast import TableRef
 
         if stmt.where is None:
@@ -995,7 +1003,6 @@ class Database:
             conjoin,
             eq,
             referenced_columns,
-            split_conjuncts,
         )
         from ..sql.ast import SelectItem, TableRef
 
@@ -1824,20 +1831,58 @@ class Database:
                 rows.append(tuple(full))
         return self.catalog.insert_rows(stmt.table, rows)
 
-    def _matching_rids(self, info: TableInfo, where) -> List[Tuple[Any, Any]]:
-        """(rid, row) pairs matching a WHERE clause (full scan; fine for the
-        DML volumes this engine targets)."""
-        from ..expr import compile_predicate
+    def _matching_rids(
+        self, info: TableInfo, where, span
+    ) -> List[Tuple[Any, Any]]:
+        """(rid, row) pairs matching a WHERE clause — the victims of an
+        UPDATE or DELETE — and names the chosen access path on *span*.
 
+        The access path is the cheapest one the optimizer prices for
+        this WHERE (a heap scan, or a B+-tree range/hash probe).  Rows come
+        from the live heap, which the statement's X table lock keeps
+        still, with no snapshot overlay; the whole WHERE is re-applied to
+        every fetched row.  The list is materialised, in rid order, before
+        the caller modifies anything: a key-changing update can never meet
+        its own output, and heap and index bytes do not depend on the
+        path taken.
+        """
         if where is None:
+            span.set_attr("access", "seq")
             return list(info.heap.scan())
-        schema = info.schema
-        predicate = compile_predicate(where, schema)
-        return [(rid, row) for rid, row in info.heap.scan() if predicate(row)]
+        predicate = compile_predicate(where, info.schema)
+        path = self._victim_path(info, split_conjuncts(where))
+        if isinstance(path, PSeqScan):
+            span.set_attr("access", "seq")
+            return [(rid, row) for rid, row in info.heap.scan() if predicate(row)]
+        span.set_attr("access", path.index.name)
+        fetch = info.heap.fetch
+        victims = []
+        for rid in sorted(rid for _, rid in index_entries(path)):
+            row = fetch(rid)
+            if row is not None and predicate(row):
+                victims.append((rid, row))
+        return victims
 
-    def _delete(self, stmt: DeleteStmt) -> int:
+    def _victim_path(self, info: TableInfo, conjuncts) -> PhysicalPlan:
+        """The cheapest access path for a DML WHERE's conjuncts."""
+        get = LogicalGet(info)
+        estimator = Estimator(
+            StatsResolver(JoinGraph(relations={get.binding: get})),
+            self.options.estimator,
+        )
+        candidates = access_paths(
+            info,
+            get.binding,
+            conjuncts,
+            estimator,
+            self.model,
+            consider_unbounded_index=False,
+        )
+        return min(candidates, key=lambda c: c.cost.total).plan
+
+    def _delete(self, stmt: DeleteStmt, span) -> int:
         info = self.catalog.table(stmt.table)
-        victims = self._matching_rids(info, stmt.where)
+        victims = self._matching_rids(info, stmt.where, span)
         for rid, row in victims:
             info.heap.delete(rid)
             for index in info.indexes.values():
@@ -1854,7 +1899,7 @@ class Database:
             return row[positions[0]]
         return tuple(row[p] for p in positions)
 
-    def _update(self, stmt: UpdateStmt) -> int:
+    def _update(self, stmt: UpdateStmt, span) -> int:
         from ..expr import compile_expr
 
         info = self.catalog.table(stmt.table)
@@ -1864,7 +1909,7 @@ class Database:
         for column, expr in stmt.assignments:
             positions.append(schema.index_of(column))
             setters.append(compile_expr(expr, schema))
-        victims = self._matching_rids(info, stmt.where)
+        victims = self._matching_rids(info, stmt.where, span)
         for rid, row in victims:
             new_row = list(row)
             for pos, setter in zip(positions, setters):

@@ -16,6 +16,7 @@ from .partition import (
     partition_of,
 )
 from .run import execute, run
+from .scans import index_entries
 from .sortutil import SortKey, cmp_values, make_key_fn, sorted_rows
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "partition_of",
     "execute",
     "run",
+    "index_entries",
     "SortKey",
     "cmp_values",
     "make_key_fn",

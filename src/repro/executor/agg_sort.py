@@ -14,11 +14,16 @@ from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..expr import ExprError, compile_expr, compile_expr_batch
-from ..expr.vector import compile_expr_columnar
 from ..physical import PAggregate, PDistinct, PSort
 from .aggregate import Accumulator, AggregateState
-from .columnar import as_row_batch, is_columnar, kernel_values
-from .operator import Batch, Row, UnaryOperator, operator_for
+from .operator import (
+    Batch,
+    Row,
+    UnaryOperator,
+    as_row_batch,
+    is_columnar,
+    operator_for,
+)
 from .sortutil import make_key_fn
 
 
@@ -160,6 +165,8 @@ class AggregateOp(UnaryOperator):
                 for agg in plan.aggs
             ]
             if ctx.columnar:
+                from ..expr.vector import compile_expr_columnar
+
                 try:
                     self.group_kernels = [
                         compile_expr_columnar(g, child_schema)
@@ -194,6 +201,8 @@ class AggregateOp(UnaryOperator):
 
     def _group_keys(self, batch: Batch) -> List[Tuple[Any, ...]]:
         if is_columnar(batch):
+            from .columnar import kernel_values
+
             columns = [
                 kernel_values(*kernel(batch))
                 for kernel in self.group_kernels
@@ -206,6 +215,8 @@ class AggregateOp(UnaryOperator):
 
     def _arg_columns(self, batch: Batch) -> List[Optional[List[Any]]]:
         if is_columnar(batch):
+            from .columnar import kernel_values
+
             return [
                 None if kernel is None else kernel_values(*kernel(batch))
                 for kernel in self.arg_kernels

@@ -19,14 +19,15 @@ Conversion is loss-free in both directions: ``from_rows`` then
 ``to_rows`` reproduces the original row tuples with native Python values
 (``int``, not ``numpy.int64``), which is what keeps the columnar engine
 bit-identical to the row engine under the differential matrix.  Any
-operator that has not been migrated simply calls :func:`as_row_batch` on
+operator that has not been migrated simply calls
+:func:`~repro.executor.operator.as_row_batch` on
 its input and proceeds row-wise — that is the whole incremental-migration
 contract.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,22 +215,3 @@ def kernel_values(
         for i in np.flatnonzero(~valid).tolist():
             values[i] = None
     return values
-
-
-#: what flows through next_batch(): row tuples or a columnar batch
-AnyBatch = Union[List[Tuple[Any, ...]], ColumnBatch]
-
-
-def is_columnar(batch: Any) -> bool:
-    return isinstance(batch, ColumnBatch)
-
-
-def as_row_batch(batch: AnyBatch) -> List[Tuple[Any, ...]]:
-    """Row view of a batch: the incremental-migration escape hatch.
-
-    Lists pass through untouched; columnar batches are transposed to row
-    tuples with native Python values.
-    """
-    if isinstance(batch, ColumnBatch):
-        return batch.to_rows()
-    return batch

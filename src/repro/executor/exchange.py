@@ -51,7 +51,6 @@ from typing import List, Optional, Tuple
 
 from ..expr import compile_expr, compile_expr_batch
 from ..obs.trace import Span, Tracer, activate_tracer, active_tracer, trace_span
-from .columnar import as_row_batch
 from ..physical import (
     PExchange,
     PGather,
@@ -61,7 +60,15 @@ from ..physical import (
     walk_plan,
 )
 from .context import ExecContext, ExecMetrics
-from .operator import Batch, Operator, Row, UnaryOperator, build_operator, operator_for
+from .operator import (
+    Batch,
+    Operator,
+    Row,
+    UnaryOperator,
+    as_row_batch,
+    build_operator,
+    operator_for,
+)
 from .partition import PartitionContext, partition_of
 from .sortutil import make_key_fn
 

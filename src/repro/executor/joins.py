@@ -10,9 +10,7 @@ buffer pool) is unchanged from the generator engine.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterator, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from ..expr import (
     ExprError,
@@ -20,24 +18,27 @@ from ..expr import (
     compile_expr_batch,
     compile_predicate_batch,
 )
-from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
 from ..physical import (
     PHashJoin,
     PIndexNLJoin,
     PNestedLoopJoin,
     PSortMergeJoin,
 )
-from .columnar import ColumnBatch, as_row_batch, is_columnar, kernel_values
 from .operator import (
     Batch,
     BatchCursor,
     Operator,
     Row,
+    as_row_batch,
     build_operator,
+    is_columnar,
     operator_for,
 )
 from .partition import partition_hash
 from .sortutil import cmp_values
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads with the columnar path only
+    from .columnar import ColumnBatch
 
 
 class _BinaryJoinOp(Operator):
@@ -332,6 +333,11 @@ class HashJoinOp(_BinaryJoinOp):
         self._pending: Optional[ColumnBatch] = None
         self._col_gen: Optional[Iterator[ColumnBatch]] = None
         if ctx.columnar:
+            from ..expr.vector import (
+                compile_expr_columnar,
+                compile_predicate_columnar,
+            )
+
             try:
                 self.left_key_col = compile_expr_columnar(
                     plan.left_key, plan.left.schema
@@ -380,6 +386,10 @@ class HashJoinOp(_BinaryJoinOp):
     # -- columnar path ------------------------------------------------------
 
     def _join_columnar(self) -> Iterator[ColumnBatch]:
+        import numpy as np
+
+        from .columnar import ColumnBatch, kernel_values
+
         plan = self.plan
         ctx = self.ctx
         build_schema = plan.right.schema

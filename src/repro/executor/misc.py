@@ -17,10 +17,15 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..expr import ExprError, compile_expr_batch, compile_predicate_batch
-from ..expr.vector import compile_expr_columnar, compile_predicate_columnar
 from ..physical import PFilter, PLimit, PMaterialize, PNarrow, PProject
-from .columnar import ColumnBatch, as_row_batch, is_columnar
-from .operator import Batch, Row, UnaryOperator, operator_for
+from .operator import (
+    Batch,
+    Row,
+    UnaryOperator,
+    as_row_batch,
+    is_columnar,
+    operator_for,
+)
 
 
 @operator_for(PFilter)
@@ -32,6 +37,8 @@ class FilterOp(UnaryOperator):
         )
         self.predicate_columnar = None
         if ctx.columnar:
+            from ..expr.vector import compile_predicate_columnar
+
             try:
                 self.predicate_columnar = compile_predicate_columnar(
                     plan.predicate, plan.child.schema
@@ -67,6 +74,8 @@ class ProjectOp(UnaryOperator):
         ]
         self.kernels = None
         if ctx.columnar:
+            from ..expr.vector import compile_expr_columnar
+
             try:
                 self.kernels = [
                     compile_expr_columnar(e, plan.child.schema)
@@ -83,6 +92,8 @@ class ProjectOp(UnaryOperator):
             if self.kernels is None:
                 batch = as_row_batch(batch)
             else:
+                from .columnar import ColumnBatch
+
                 return ColumnBatch(
                     self.plan.schema,
                     [kernel(batch) for kernel in self.kernels],
@@ -102,6 +113,8 @@ class NarrowOp(UnaryOperator):
             return None
         positions = self.plan.positions
         if is_columnar(batch):
+            from .columnar import ColumnBatch
+
             return ColumnBatch(
                 self.plan.schema,
                 [batch.columns[i] for i in positions],

@@ -36,11 +36,31 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..obs import InstrumentLevel
 from ..physical import PhysicalError, PhysicalPlan
-from .columnar import as_row_batch
 from .context import ExecContext
 
 Row = Tuple[Any, ...]
 Batch = List[Row]
+
+
+def is_columnar(batch: Any) -> bool:
+    """Is *batch* a :class:`~repro.executor.columnar.ColumnBatch`?
+
+    Row batches are always plain lists, so the test needs no import of
+    the numpy-backed columnar module — the row engine never loads numpy.
+    """
+    return not isinstance(batch, list)
+
+
+def as_row_batch(batch: Any) -> Batch:
+    """Row view of a batch: the incremental-migration escape hatch.
+
+    Lists pass through untouched; columnar batches are transposed to row
+    tuples with native Python values.
+    """
+    if isinstance(batch, list):
+        return batch
+    return batch.to_rows()
+
 
 _REGISTRY: Dict[type, Type["Operator"]] = {}
 

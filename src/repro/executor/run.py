@@ -24,9 +24,8 @@ from typing import Any, Iterator, List, Tuple
 
 # importing the operator families populates the plan-type registry
 from . import agg_sort, exchange, joins, misc, scans  # noqa: F401
-from .columnar import as_row_batch
 from .context import ExecContext
-from .operator import Operator, build_operator
+from .operator import Operator, as_row_batch, build_operator
 from ..physical import PhysicalPlan
 
 Row = Tuple[Any, ...]

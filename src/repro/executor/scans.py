@@ -26,11 +26,10 @@ fast paths byte-identical to non-MVCC execution).  With an overlay:
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..catalog import IndexKind
 from ..expr import compile_predicate_batch
-from ..expr.vector import compile_predicate_columnar
 from ..index.keys import key_lt
 from ..physical import (
     PIndexOnlyScan,
@@ -39,10 +38,11 @@ from ..physical import (
     PhysicalError,
 )
 from ..storage import SlottedPage, deserialize_row, page_skipper
-from .columnar import ColumnBatch
 from .operator import Batch, Operator, operator_for
-from .pagedecode import decode_page_columns, decode_pages_columns
 from .partition import page_range
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads with the columnar path only
+    from .columnar import ColumnBatch
 
 RID = Tuple[int, int]
 Overlay = Tuple[Dict[RID, Optional[Tuple]], Dict[RID, Tuple]]
@@ -175,11 +175,13 @@ class SeqScanOp(_ScanOp):
             if plan.predicate is not None and not ctx.columnar
             else None
         )
-        self.predicate_columnar = (
-            compile_predicate_columnar(plan.predicate, plan.schema)
-            if plan.predicate is not None and ctx.columnar
-            else None
-        )
+        self.predicate_columnar = None
+        if plan.predicate is not None and ctx.columnar:
+            from ..expr.vector import compile_predicate_columnar
+
+            self.predicate_columnar = compile_predicate_columnar(
+                plan.predicate, plan.schema
+            )
         self._rows: Optional[Iterator[Tuple[Any, ...]]] = None
         self._pages: Optional[Iterator[int]] = None
         self._parts: list = []
@@ -271,6 +273,9 @@ class SeqScanOp(_ScanOp):
 
     def _decode_next_span(self) -> Optional[ColumnBatch]:
         """The next span of non-skipped pages as one ColumnBatch."""
+        from .columnar import ColumnBatch
+        from .pagedecode import decode_page_columns, decode_pages_columns
+
         plan = self.plan
         heap = plan.table.heap
         schema = plan.schema
@@ -319,6 +324,8 @@ class SeqScanOp(_ScanOp):
         """Columnar scan under a snapshot overlay: decode row-at-a-time
         (zone-map skipping would consult live-heap bounds that the
         snapshot's older images may violate) and columnarize per batch."""
+        from .columnar import ColumnBatch
+
         n = self._target(max_rows)
         predicate = self.predicate_columnar
         while True:
@@ -334,6 +341,8 @@ class SeqScanOp(_ScanOp):
             return batch
 
     def _next_batch_columnar(self, max_rows=None) -> Optional[ColumnBatch]:
+        from .columnar import ColumnBatch
+
         if self._rows is not None:
             return self._next_batch_columnar_rows(max_rows)
         if self._pages is None:
@@ -382,6 +391,25 @@ def _index_bounds(plan) -> Tuple[Any, Any, bool, bool]:
     return low, high, plan.low.inclusive, plan.high.inclusive
 
 
+def index_entries(plan) -> Iterator[Tuple[Any, RID]]:
+    """The live ``(key, rid)`` entries of *plan*'s index within its
+    bounds, in key order (a hash index answers an equality probe only).
+
+    Counts one index scan of the table.  Shared by the index scan
+    operators and by UPDATE/DELETE victim lookup, so one reading of the
+    bounds serves both.
+    """
+    plan.table.access.index_scans += 1
+    index = plan.index
+    if index.kind is IndexKind.HASH:
+        if not plan.is_equality:
+            raise PhysicalError("hash index supports only equality probes")
+        key = plan.low.value
+        return iter([(key, rid) for rid in index.structure.search(key)])
+    low, high, li, hi = _index_bounds(plan)
+    return index.structure.range_scan(low, high, li, hi)
+
+
 @operator_for(PIndexScan)
 class IndexScanOp(_ScanOp):
     """B+-tree range scan (or hash equality probe) fetching heap rows."""
@@ -398,18 +426,6 @@ class IndexScanOp(_ScanOp):
     def _open(self):
         self._rows = None
 
-    def _start(self) -> Iterator[Tuple[Any, Any]]:
-        plan = self.plan
-        plan.table.access.index_scans += 1
-        index = plan.index
-        if index.kind is IndexKind.HASH:
-            if not plan.is_equality:
-                raise PhysicalError("hash index supports only equality probes")
-            rids = index.structure.search(plan.low.value)
-            return iter([(plan.low.value, rid) for rid in rids])
-        low, high, li, hi = _index_bounds(plan)
-        return index.structure.range_scan(low, high, li, hi)
-
     def _fetched(self) -> Iterator[Tuple[Any, ...]]:
         # interleave index-entry iteration with heap fetches so the page
         # access pattern (and hence the buffer pool's hit/read split) is
@@ -417,7 +433,7 @@ class IndexScanOp(_ScanOp):
         fetch = self.plan.table.heap.fetch
         overlay = table_overlay(self.ctx, self.plan.table)
         if overlay is None:
-            for _, rid in self._start():
+            for _, rid in index_entries(self.plan):
                 row = fetch(rid)
                 if row is None:
                     continue  # deleted since the index entry was made
@@ -428,7 +444,7 @@ class IndexScanOp(_ScanOp):
         # order (downstream operators may rely on the index sort order)
         skip, injected = index_overlay(self.plan, overlay)
         i, n = 0, len(injected)
-        for key, rid in self._start():
+        for key, rid in index_entries(self.plan):
             while i < n and not key_lt(key, injected[i][0]):
                 yield injected[i][1]
                 i += 1
@@ -477,9 +493,7 @@ class IndexOnlyScanOp(_ScanOp):
         self._entries = None
 
     def _keys(self) -> Iterator[Any]:
-        low, high, li, hi = _index_bounds(self.plan)
-        self.plan.table.access.index_scans += 1
-        entries = self.plan.index.structure.range_scan(low, high, li, hi)
+        entries = index_entries(self.plan)
         overlay = table_overlay(self.ctx, self.plan.table)
         if overlay is None:
             for key, _rid in entries:

@@ -342,8 +342,7 @@ class BPlusTree:
         with PageGuard(self.pool, (self.file_id, page_no), write=True) as data:
             data[: len(buf)] = buf
             # zero the tail so stale bytes never alias a valid entry
-            for i in range(len(buf), len(data)):
-                data[i] = 0
+            data[len(buf) :] = bytes(len(data) - len(buf))
 
     def _serialize_key(self, key: Any) -> bytes:
         if self.composite:

@@ -142,9 +142,16 @@ WORKLOAD_TABLE = "kv"
 #: a CHECKPOINT is issued after every k-th transaction, so sweeps also
 #: kill mid-checkpoint and mid-WAL-truncation
 CHECKPOINT_EVERY = 7
+#: the *indexed* variant creates this B+-tree on ``kv(k)`` and has its
+#: first transaction insert :data:`INDEXED_FILLER` rows with keys no
+#: later operation touches, so ``kv`` spans several pages and the cost
+#: model finds UPDATE/DELETE victims by index probe, not by heap scan
+WORKLOAD_INDEX = "CREATE INDEX ix_kv_k ON kv (k)"
+INDEXED_FILLER = 200
+_FILLER_KEY = 10_000_000
 
 
-def txn_ops(seed: int, t: int):
+def txn_ops(seed: int, t: int, indexed: bool = False):
     """The (deterministic) operations of transaction *t*: a list of
     ``("insert", k, v)`` / ``("update", k, v)`` / ``("delete", k)``.
     Derived from the seed alone — never from database state — so a
@@ -153,6 +160,8 @@ def txn_ops(seed: int, t: int):
 
     r = random.Random(f"{seed}:{t}")
     ops = []
+    if indexed and t == 1:
+        ops = [("insert", _FILLER_KEY + i, i) for i in range(INDEXED_FILLER)]
     for j in range(r.randint(1, 3)):
         kind = r.choice(("insert", "insert", "update", "delete"))
         if kind == "insert":
@@ -167,11 +176,11 @@ def txn_ops(seed: int, t: int):
     return ops
 
 
-def reference_rows(seed: int, committed: int):
+def reference_rows(seed: int, committed: int, indexed: bool = False):
     """The exact (k, v) rows after *committed* transactions, sorted."""
     state = {}
     for t in range(1, committed + 1):
-        for op in txn_ops(seed, t):
+        for op in txn_ops(seed, t, indexed):
             if op[0] == "insert":
                 state[op[1]] = op[2]
             elif op[0] == "update":
@@ -183,15 +192,18 @@ def reference_rows(seed: int, committed: int):
 
 
 def run_workload(
-    data_dir: str, seed: int, txns: int, acks_path: str
+    data_dir: str, seed: int, txns: int, acks_path: str, indexed: bool = False
 ) -> None:
     """Run the workload to completion (or until an armed failpoint kills
-    the process).  Assumes a fresh ``data_dir``."""
+    the process).  Assumes a fresh ``data_dir``.  *indexed* selects the
+    variant whose UPDATE/DELETE victims are found through an index."""
     from ..engine.database import Database
 
     db = Database(data_dir=data_dir)
     if not db.catalog.has_table(WORKLOAD_TABLE):
         db.execute(f"CREATE TABLE {WORKLOAD_TABLE} (k INT, v INT)")
+        if indexed:
+            db.execute(WORKLOAD_INDEX)
     #: a second connection that holds an *uncommitted* write open across
     #: every CHECKPOINT: fuzzy checkpoints must skip its dirty page
     #: (no-steal), record it in the ATT, and set redo_lsn below it —
@@ -202,7 +214,7 @@ def run_workload(
     with open(acks_path, "a") as acks:
         for t in range(1, txns + 1):
             db.execute("BEGIN")
-            for op in txn_ops(seed, t):
+            for op in txn_ops(seed, t, indexed):
                 if op[0] == "insert":
                     db.execute(
                         f"INSERT INTO {WORKLOAD_TABLE} "
@@ -246,7 +258,7 @@ def read_acks(acks_path: str):
 
 
 def verify_recovery(
-    data_dir: str, seed: int, txns: int, acks_path: str
+    data_dir: str, seed: int, txns: int, acks_path: str, indexed: bool = False
 ) -> dict:
     """Recover the database and check it against the committed-prefix
     oracle.  Returns a summary dict; raises :class:`FaultError` when the
@@ -276,7 +288,7 @@ def verify_recovery(
                     return {"committed": 0, "acked": a, "rows": 0,
                             "recovery": report.summary()}
                 continue
-            if got == reference_rows(seed, m):
+            if got == reference_rows(seed, m, indexed):
                 return {"committed": m, "acked": a, "rows": len(got),
                         "recovery": report.summary()}
         raise FaultError(
@@ -302,10 +314,12 @@ SWEEP_SITES = {
 }
 
 
-def _workload_argv(data_dir: str, seed: int, txns: int, acks: str):
+def _workload_argv(
+    data_dir: str, seed: int, txns: int, acks: str, indexed: bool
+):
     import sys
 
-    return [
+    argv = [
         sys.executable,
         "-m",
         "repro.qa.faults",
@@ -318,6 +332,7 @@ def _workload_argv(data_dir: str, seed: int, txns: int, acks: str):
         "--acks",
         acks,
     ]
+    return argv + ["--indexed"] if indexed else argv
 
 
 def _subprocess_env(extra: Dict[str, str]) -> Dict[str, str]:
@@ -334,7 +349,7 @@ def _subprocess_env(extra: Dict[str, str]) -> Dict[str, str]:
 
 
 def count_workload_hits(
-    base_dir: str, seed: int, txns: int
+    base_dir: str, seed: int, txns: int, indexed: bool = False
 ) -> Dict[str, int]:
     """One un-armed counting run: how often does each site fire?"""
     import subprocess
@@ -344,7 +359,7 @@ def count_workload_hits(
     acks = os.path.join(data_dir, "acks.txt")
     counts_path = os.path.join(data_dir, "counts.json")
     proc = subprocess.run(
-        _workload_argv(data_dir, seed, txns, acks),
+        _workload_argv(data_dir, seed, txns, acks, indexed),
         env=_subprocess_env({"REPRO_FAILPOINTS_COUNT": counts_path}),
         capture_output=True,
         text=True,
@@ -378,7 +393,13 @@ def sweep_points(counts: Dict[str, int], max_points: Optional[int] = None):
 
 
 def run_crash_point(
-    base_dir: str, seed: int, txns: int, site: str, n: int, mode: str
+    base_dir: str,
+    seed: int,
+    txns: int,
+    site: str,
+    n: int,
+    mode: str,
+    indexed: bool = False,
 ) -> dict:
     """Kill one fresh workload run at (site, hit *n*, mode), then recover
     and verify.  Returns the oracle summary (with ``"skipped": True``
@@ -391,17 +412,17 @@ def run_crash_point(
     os.makedirs(data_dir)
     acks = os.path.join(data_dir, "acks.txt")
     proc = subprocess.run(
-        _workload_argv(data_dir, seed, txns, acks),
+        _workload_argv(data_dir, seed, txns, acks, indexed),
         env=_subprocess_env({"REPRO_FAILPOINTS": f"{site}={n}:{mode}"}),
         capture_output=True,
         text=True,
         timeout=600,
     )
     if proc.returncode == 0:
-        summary = verify_recovery(data_dir, seed, txns, acks)
+        summary = verify_recovery(data_dir, seed, txns, acks, indexed)
         summary["skipped"] = True  # armed point never fired this run
     elif proc.returncode == CRASH_EXIT_CODE:
-        summary = verify_recovery(data_dir, seed, txns, acks)
+        summary = verify_recovery(data_dir, seed, txns, acks, indexed)
         summary["skipped"] = False
     else:
         raise FaultError(
@@ -418,14 +439,17 @@ def run_crash_sweep(
     seed: int,
     txns: int,
     max_points: Optional[int] = None,
+    indexed: bool = False,
 ) -> list:
     """The full protocol: one counting run, then kill-and-verify once per
     sweep point.  Raises :class:`FaultError` on the first oracle failure;
     returns every point's summary otherwise."""
-    counts = count_workload_hits(base_dir, seed, txns)
+    counts = count_workload_hits(base_dir, seed, txns, indexed)
     results = []
     for site, n, mode in sweep_points(counts, max_points):
-        results.append(run_crash_point(base_dir, seed, txns, site, n, mode))
+        results.append(
+            run_crash_point(base_dir, seed, txns, site, n, mode, indexed)
+        )
     return results
 
 
@@ -440,10 +464,15 @@ def _main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--txns", type=int, default=20)
     parser.add_argument("--acks", default=None)
+    parser.add_argument(
+        "--indexed",
+        action="store_true",
+        help="index kv(k) so DML finds its victims by index probe",
+    )
     args = parser.parse_args(argv)
     os.makedirs(args.data_dir, exist_ok=True)
     acks = args.acks or os.path.join(args.data_dir, "acks.txt")
-    run_workload(args.data_dir, args.seed, args.txns, acks)
+    run_workload(args.data_dir, args.seed, args.txns, acks, args.indexed)
     return 0
 
 

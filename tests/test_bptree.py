@@ -4,8 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.index import BPlusTree
-from repro.storage import BufferPool, DiskManager
+from repro.index import BPlusTree, serialize_key
+from repro.storage import BufferPool, DiskManager, PageGuard
 from repro.types import DataType
 
 
@@ -150,6 +150,21 @@ class TestDelete:
             tree.insert(i, (i, 7))
         tree.validate()
         assert tree.search(3) == [(3, 7)]
+
+    def test_shrunk_leaf_tail_is_zeroed(self):
+        _, tree = make_tree(DataType.TEXT)
+        keys = [f"key-{i:02d}-" + "x" * i for i in range(12)]
+        for i, key in enumerate(keys):
+            tree.insert(key, (i, 0))
+        assert tree.height == 1  # the root is the only leaf
+        for i, key in enumerate(keys[4:], start=4):
+            tree.delete(key, (i, 0))
+        tree.insert("a", (99, 1))  # rewrite the shrunk leaf once more
+        live = sorted(keys[:4] + ["a"])
+        encoded = 7 + sum(len(serialize_key(k, DataType.TEXT)) + 6 for k in live)
+        with PageGuard(tree.pool, (tree.file_id, tree.root_page)) as data:
+            assert data[encoded - 6 : encoded] != bytes(6)  # last entry's rid
+            assert data[encoded:] == bytes(len(data) - encoded)
 
 
 class TestIOBehaviour:

@@ -12,7 +12,8 @@ asserted loss-free on the same batches.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.executor.columnar import ColumnBatch, as_row_batch
+from repro.executor.columnar import ColumnBatch
+from repro.executor.operator import as_row_batch
 from repro.expr import (
     Between,
     InList,

@@ -259,6 +259,54 @@ class TestCrashPoints:
         assert summary["committed"] < self.TXNS
 
 
+class TestIndexedCrashPoints:
+    """The indexed variant: ``kv(k)`` carries a B+-tree and enough rows
+    that UPDATE/DELETE find their victims by index probe, so recovery
+    replays index-found writes."""
+
+    SEED = 11
+    TXNS = 9
+
+    @pytest.fixture(scope="class")
+    def hit_counts(self, tmp_path_factory):
+        base = str(tmp_path_factory.mktemp("crash-count-indexed"))
+        return faults.count_workload_hits(
+            base, self.SEED, self.TXNS, indexed=True
+        )
+
+    def test_clean_run_matches_reference(self, tmp_path):
+        data_dir = str(tmp_path / "db")
+        acks = str(tmp_path / "acks.txt")
+        faults.run_workload(
+            data_dir, self.SEED, self.TXNS, acks_path=acks, indexed=True
+        )
+        summary = faults.verify_recovery(
+            data_dir, self.SEED, self.TXNS, acks, indexed=True
+        )
+        assert summary["committed"] == self.TXNS
+        assert summary["rows"] > faults.INDEXED_FILLER
+
+    def test_crash_slice(self, hit_counts, tmp_path):
+        # the mid-run hit of every site x mode, past the first
+        # transaction, so index-found DML precedes most kills
+        points = [
+            point
+            for point in faults.sweep_points(hit_counts, max_points=2)
+            if point[1] > 1
+        ]
+        assert points
+        killed = 0
+        for site, n, mode in points:
+            summary = faults.run_crash_point(
+                str(tmp_path), self.SEED, self.TXNS, site, n, mode,
+                indexed=True,
+            )
+            assert summary["committed"] >= summary["acked"]
+            if not summary["skipped"]:
+                killed += 1
+        assert killed > 0, "no armed failpoint actually fired"
+
+
 @pytest.mark.slow
 class TestFullSweep:
     def test_every_kill_point(self, tmp_path):
@@ -266,5 +314,12 @@ class TestFullSweep:
             str(tmp_path), seed=1, txns=12, max_points=None
         )
         assert results
+        fired = [r for r in results if not r["skipped"]]
+        assert fired, "sweep never killed the workload"
+
+    def test_every_kill_point_indexed(self, tmp_path):
+        results = faults.run_crash_sweep(
+            str(tmp_path), seed=1, txns=12, max_points=None, indexed=True
+        )
         fired = [r for r in results if not r["skipped"]]
         assert fired, "sweep never killed the workload"
