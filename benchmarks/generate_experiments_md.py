@@ -24,7 +24,6 @@ from repro.bench import (
     e11_ablations,
     e12_scaling,
     e13_batching,
-    e14_parallel,
 )
 from repro.bench.figures import chart_from_table
 from repro.workloads import WholesaleScale
@@ -331,25 +330,6 @@ def main() -> None:
         "hundred rows per batch; result equality across all batch sizes "
         "is verified inside the experiment on every run.",
         e13_tables,
-    )
-
-    print("E14 parallel ...", flush=True)
-    e14_tables = e14_parallel.run(repeats=3)
-    section(
-        "E14 — intra-query parallel scaling",
-        "Exchange-style parallelism splits partitionable pipelines across "
-        "workers, so CPU-bound shapes (aggregation, filtering, sorting) "
-        "should approach linear speedup until workers outnumber cores, "
-        "while per-worker startup and gather-transfer overhead keep tiny "
-        "queries serial; parallel results must be bit-identical to serial "
-        "execution — same rows, same order.",
-        "On multi-core hardware the two-phase aggregate reaches ≥1.5x at "
-        "degree 4 and the scan pipeline follows; on a single-core "
-        "container speedups sit at or below 1x (forked workers time-slice "
-        "one core) while the bit-identity check — asserted inside the "
-        "experiment on every run, at every degree — still passes, which "
-        "is the correctness half of the claim.",
-        e14_tables,
     )
 
     out = ROOT / "EXPERIMENTS.md"

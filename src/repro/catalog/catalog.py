@@ -72,8 +72,7 @@ class TableAccessStats:
 
     Maintained by the scan operators — every sequential scan start, index
     scan start, row produced and page touched on behalf of this table is
-    counted here, in the parent process (parallel workers ship their
-    deltas back with the rest of their accounting).  ``pages_skipped``
+    counted here.  ``pages_skipped``
     counts pages a columnar scan proved empty from zone maps and never
     fixed into the buffer pool: for any one scan,
     ``pages_hit + pages_read + pages_skipped`` equals the pages the scan
@@ -96,15 +95,6 @@ class TableAccessStats:
             self.pages_read,
             self.pages_skipped,
         )
-
-    def add(self, delta: Sequence[int]) -> None:
-        seq, idx, rows, hits, reads, skipped = delta
-        self.seq_scans += seq
-        self.index_scans += idx
-        self.rows_read += rows
-        self.pages_hit += hits
-        self.pages_read += reads
-        self.pages_skipped += skipped
 
     def delta(
         self, earlier: Sequence[int]
@@ -205,7 +195,7 @@ class Catalog:
         query makes the engine call the provider, snapshot the returned
         rows into a transient heap table of the same name, and plan the
         statement against that — so every planner and executor feature
-        (filters, joins, ORDER BY, parallelism) composes with them, and
+        (filters, joins, ORDER BY) composes with them, and
         the optimizer prices them like the tiny freshly-ANALYZEd scans
         they are.  A user table of the same name shadows the provider.
         """

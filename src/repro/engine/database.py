@@ -26,7 +26,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algebra import JoinGraph, LogicalGet, build_plan
+from ..algebra import (
+    JoinGraph,
+    LogicalFilter,
+    LogicalGet,
+    LogicalJoin,
+    LogicalPlan,
+    build_plan,
+)
 from ..catalog import Catalog, IndexKind, TableInfo
 from ..executor import ExecContext, ExecMetrics, index_entries, run
 from ..expr import Literal, compile_predicate, split_conjuncts
@@ -102,6 +109,19 @@ from ..storage import BufferPool, BufferStats, DiskManager, IOStats, Replacement
 from ..types import Column, Schema
 
 
+def _check_predicate_types(plan: LogicalPlan) -> None:
+    """Compile every WHERE/ON predicate before execution, as DML does, so
+    a type mismatch raises ``TypeError_`` whichever access path is chosen
+    (an index probe would otherwise compare the mismatched values inside
+    the B+-tree and leak a raw Python ``TypeError``)."""
+    if isinstance(plan, LogicalFilter):
+        compile_predicate(plan.predicate, plan.child.schema)
+    elif isinstance(plan, LogicalJoin) and plan.condition is not None:
+        compile_predicate(plan.condition, plan.schema)
+    for child in plan.children():
+        _check_predicate_types(child)
+
+
 class EngineError(Exception):
     """Raised for statements the engine cannot execute."""
 
@@ -144,7 +164,6 @@ class Database:
         columnar: bool = False,
         data_dir: Optional[str] = None,
         wal_sync: bool = True,
-        mvcc: bool = True,
     ):
         self.disk = DiskManager(page_size)
         self.pool = BufferPool(self.disk, buffer_pages, replacement)
@@ -156,10 +175,6 @@ class Database:
         self.pool.evict_guard = self.txn.may_evict
         self.pool.write_hook = self.txn.before_page_write
         self.pool.clean_hook = self.txn.page_clean
-        #: snapshot-isolated reads (SELECTs run lock-free against a commit-
-        #: timestamp read view); ``mvcc=False`` falls back to statement-
-        #: scoped shared table locks (readers block on writers)
-        self.mvcc = mvcc
         #: the snapshot of the statement currently inside ``_stmt_lock``;
         #: nested internal selects (view materialization, subqueries)
         #: inherit it so one statement reads one consistent view
@@ -200,7 +215,7 @@ class Database:
         self.feedback = FeedbackStore()
         #: the optimizer SearchTrace of the most recent planning pass
         self.last_search: Optional[SearchTrace] = None
-        #: cumulative wait-event accounting (io/lock/exec/exchange classes);
+        #: cumulative wait-event accounting (io/lock/exec classes);
         #: attached to the buffer pool so page I/O and lock contention are
         #: timed at the source
         self.waits = WaitEventStats()
@@ -763,6 +778,7 @@ class Database:
                     len(self._live_transients) - before,
                 )
         logical = build_plan(stmt, self.catalog)
+        _check_predicate_types(logical)
         if collect_search is None:
             collect_search = self.obs.trace
         search = SearchTrace() if collect_search else None
@@ -1295,26 +1311,6 @@ class Database:
     ) -> QueryResult:
         tracer = tracer or Tracer(enabled=False)
         start = time.perf_counter()
-        if not self.mvcc:
-            # Legacy isolation: top-level statements take statement-scoped
-            # shared table locks before the statement lock, so they never
-            # read uncommitted rows — at the price of blocking on writers.
-            acquired: List[str] = []
-            if session is not None:
-                names = [ref.table for ref in stmt.from_tables]
-                names += [join.table.table for join in stmt.joins]
-                acquired = self.txn.lock_tables_shared(
-                    [n for n in names if self.catalog.has_table(n)],
-                    txn=session.txn,
-                )
-            try:
-                with self._stmt_lock:
-                    return self._run_select_locked(
-                        stmt, sql, tracer, analyze, collect_search,
-                        session, start, None,
-                    )
-            finally:
-                self.txn.unlock_shared(acquired)
         # MVCC: top-level statements read through a commit-timestamp
         # snapshot instead of locking — they never block on writers and
         # never see uncommitted rows.  Inside an explicit transaction the
@@ -1340,41 +1336,25 @@ class Database:
                 release = True
         try:
             with self._stmt_lock:
-                return self._run_select_locked(
-                    stmt, sql, tracer, analyze, collect_search,
-                    session, start, snapshot,
-                )
+                # Nested internal selects (view materialization, subquery
+                # decomposition) arrive without a session and inherit the
+                # outer statement's view, so one statement reads one
+                # consistent state.
+                if snapshot is None:
+                    snapshot = self._active_snapshot
+                prev_snapshot = self._active_snapshot
+                self._active_snapshot = snapshot
+                try:
+                    return self._run_select_impl(
+                        stmt, sql, tracer, analyze, collect_search,
+                        session, start, snapshot,
+                    )
+                finally:
+                    self._active_snapshot = prev_snapshot
         finally:
             if release:
                 with tracer.span("mvcc.release"):
                     self.txn.versions.release(snapshot)
-
-    def _run_select_locked(
-        self,
-        stmt: SelectStmt,
-        sql: Optional[str],
-        tracer: Tracer,
-        analyze: bool,
-        collect_search: Optional[bool],
-        session: Optional[Session],
-        start: float,
-        snapshot: Optional[Any] = None,
-    ) -> QueryResult:
-        # Nested internal selects (view materialization, subquery
-        # decomposition) arrive with snapshot=None and inherit the outer
-        # statement's view, so one statement reads one consistent state.
-        if snapshot is None:
-            snapshot = self._active_snapshot
-        prev_snapshot = self._active_snapshot
-        self._active_snapshot = snapshot
-        try:
-            return self._run_select_impl(
-                stmt, sql, tracer, analyze, collect_search,
-                session, start, snapshot,
-            )
-        finally:
-            self._active_snapshot = prev_snapshot
-
     def _run_select_impl(
         self,
         stmt: SelectStmt,
@@ -1496,7 +1476,7 @@ class Database:
                 self.activity.finish(entry)
         if waits0 is not None:
             # exec.cpu = wall execution time minus the blocked time that
-            # accrued during it, so cpu + io + lock (+ exchange) adds back
+            # accrued during it, so cpu + io + lock adds back
             # up to measured execution time
             blocked = sum(
                 seconds
@@ -1574,11 +1554,6 @@ class Database:
                 m.counter("pages_skipped_total").inc(
                     result.exec_metrics.pages_skipped
                 )
-                if result.exec_metrics.parallel_regions:
-                    m.counter("parallel_queries_total").inc()
-                    m.counter("parallel_workers_total").inc(
-                        result.exec_metrics.parallel_workers
-                    )
             m.gauge("buffer_hit_ratio").set(self.pool.stats.hit_rate)
             if sql is not None:
                 self.latency.observe(
@@ -1626,11 +1601,6 @@ class Database:
                     ),
                     temp_files=(
                         result.exec_metrics.temp_files
-                        if result.exec_metrics
-                        else 0
-                    ),
-                    parallel_workers=(
-                        result.exec_metrics.parallel_workers
                         if result.exec_metrics
                         else 0
                     ),

@@ -34,7 +34,6 @@ from .operator import (
     is_columnar,
     operator_for,
 )
-from .partition import partition_hash
 from .sortutil import cmp_values
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads with the columnar path only
@@ -611,6 +610,28 @@ class HashJoinOp(_BinaryJoinOp):
             return iter(rows)
         mask = self.residual(rows)
         return (row for row, keep in zip(rows, mask) if keep)
+
+
+def partition_hash(key: Any) -> int:
+    """Stable 32-bit hash that assigns a join key to a Grace partition.
+
+    Properties the spill path relies on:
+
+    * deterministic across processes (no ``PYTHONHASHSEED`` dependence
+      for strings — FNV-1a over the UTF-8 bytes),
+    * equal SQL values hash equal even across numeric types
+      (``1 == 1.0`` → integral floats are canonicalized to int), so
+      matching keys from both inputs land in the same partition,
+    * ``True == 1`` follows from Python's own bool/int identity.
+    """
+    if isinstance(key, str):
+        h = 2166136261
+        for b in key.encode("utf-8"):
+            h = ((h ^ b) * 16777619) & 0xFFFFFFFF
+        return h
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)
+    return hash(key) & 0xFFFFFFFF
 
 
 def _partition_insert(parts, key: Any, row: Row, fanout: int) -> None:

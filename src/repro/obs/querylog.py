@@ -63,6 +63,11 @@ def plan_fingerprint(plan: Any) -> str:
     return hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()[:12]
 
 
+#: fields older versions wrote that no longer exist (intra-query
+#: parallelism was removed); ignored when loading a persisted log
+_RETIRED_FIELDS = frozenset({"parallel_workers"})
+
+
 @dataclass
 class QueryLogRecord:
     """One executed query's feedback row."""
@@ -79,7 +84,6 @@ class QueryLogRecord:
     execution_ms: float
     spills: int = 0
     temp_files: int = 0
-    parallel_workers: int = 0
     plan_changed: bool = False  # chosen plan differs from the baseline
     baseline_cost_delta: float = 0.0  # new est_cost - baseline est_cost
     buffer_hits: int = 0  # pages served from the buffer pool
@@ -98,7 +102,9 @@ class QueryLogRecord:
         field added to the dataclass but missing here would silently
         drop data — the round-trip tests enumerate ``fields()`` so any
         serialization omission fails loudly); absent optional fields take
-        their defaults, so logs persisted by older versions still load."""
+        their defaults and retired fields are dropped, so logs persisted
+        by older versions still load."""
+        data = {k: v for k, v in data.items() if k not in _RETIRED_FIELDS}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -4,10 +4,9 @@ Converts a :class:`~repro.obs.trace.RequestTrace` (or a bare
 :class:`~repro.obs.trace.Span` tree) into the Chrome trace-event JSON
 format — the ``{"traceEvents": [...]}`` object that ``chrome://tracing``
 and Perfetto (https://ui.perfetto.dev) load directly.  Each span becomes
-one complete ("ph": "X") event with microsecond ``ts``/``dur``; spans
-grafted from forked exchange workers carry a ``worker`` attribute and
-are placed on their own track (``tid``) so lock waits, fsyncs, and
-per-worker execution render as parallel lanes under the request.
+one complete ("ph": "X") event with microsecond ``ts``/``dur`` on the
+request's single track, so lock waits and fsyncs nest visibly under the
+statement that incurred them.
 
 :func:`validate_chrome_trace` is the structural validator the tests and
 the CI smoke step hold exported files to — a cheap schema check, not a
@@ -27,16 +26,7 @@ from typing import Any, Dict, List, Optional, Union
 from .trace import RequestTrace, Span
 
 _DEFAULT_PID = 1
-
-
-def _span_tid(span: Span, inherited: int) -> int:
-    """Workers get their own track; everything else stays on the parent's."""
-    if span.attrs and "worker" in span.attrs:
-        try:
-            return 2 + int(span.attrs["worker"])
-        except ValueError:
-            return inherited
-    return inherited
+_DEFAULT_TID = 1
 
 
 def chrome_trace_events(
@@ -58,8 +48,7 @@ def chrome_trace_events(
         }
     ]
 
-    def emit(span: Span, tid: int) -> None:
-        tid = _span_tid(span, tid)
+    def emit(span: Span) -> None:
         args: Dict[str, Any] = {}
         if span.counters:
             args.update(span.counters)
@@ -73,7 +62,7 @@ def chrome_trace_events(
         event: Dict[str, Any] = {
             "ph": "X",
             "pid": _DEFAULT_PID,
-            "tid": tid,
+            "tid": _DEFAULT_TID,
             "name": span.name,
             "ts": round(span.start_ms * 1000.0, 3),
             "dur": round(max(span.duration_ms, 0.0) * 1000.0, 3),
@@ -82,10 +71,10 @@ def chrome_trace_events(
             event["args"] = args
         events.append(event)
         for child in span.children:
-            emit(child, tid)
+            emit(child)
 
     if root is not None:
-        emit(root, 1)
+        emit(root)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

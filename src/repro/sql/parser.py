@@ -337,8 +337,13 @@ class _Parser:
             inner = self.select()
             return CreateViewStmt(name, inner)
         clustered = self.accept_keyword("CLUSTERED")
-        unique = self.accept_keyword("UNIQUE")  # parsed, treated as plain
-        del unique
+        unique = self.current
+        if self.accept_keyword("UNIQUE"):
+            raise ParseError(
+                "UNIQUE indexes are not supported yet (uniqueness would not "
+                "be enforced); use CREATE INDEX",
+                unique,
+            )
         if self.accept_keyword("INDEX"):
             return self.create_index(clustered)
         raise ParseError(f"expected TABLE or INDEX, got {self.current}", self.current)

@@ -313,3 +313,28 @@ def test_tiny_table_keeps_the_heap_scan():
     db = _indexed_db(3)
     assert db.execute("UPDATE t SET v = 0 WHERE k = 1").rows == [(1,)]
     assert db.last_request_trace.root.find("execute").attrs["access"] == "seq"
+
+
+@pytest.mark.parametrize(
+    "where, index",
+    [
+        ("k = 'x'", "ix_k"),
+        ("k < 'x'", "ix_k"),
+        ("a = 'x' AND b = 3", "ix_ab"),
+        ("h = 'x'", "ix_h"),
+    ],
+)
+def test_select_type_error_matches_heap_scan(where, index):
+    """An ill-typed literal on an indexed column raises the engine's
+    TypeError_, exactly as the unindexed twin's heap scan does."""
+    from repro.types import TypeError_
+
+    twins = Twins(0)
+    well_typed = where.replace("'x'", "7")
+    assert index in twins.ix.explain(f"SELECT * FROM t WHERE {well_typed}")
+    errors = []
+    for db in (twins.ix, twins.plain):
+        with pytest.raises(TypeError_) as info:
+            db.execute(f"SELECT * FROM t WHERE {where}")
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]

@@ -214,6 +214,18 @@ class TestDDLAndDML:
         with pytest.raises(ParseError):
             parse("CREATE INDEX ix ON t (c) USING rtree")
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "CREATE UNIQUE INDEX ix ON t (c)",
+            "CREATE CLUSTERED UNIQUE INDEX ix ON t (c)",
+        ],
+    )
+    def test_create_unique_index_rejected(self, sql):
+        """UNIQUE is not enforced, so it must not be silently accepted."""
+        with pytest.raises(ParseError, match="UNIQUE indexes are not supported"):
+            parse(sql)
+
     def test_insert(self):
         s = parse("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
         assert isinstance(s, InsertStmt)

@@ -1,9 +1,11 @@
-"""The row engine never imports numpy.
+"""The row engine never imports numpy or multiprocessing.
 
 numpy backs only the columnar engine (``Database(columnar=True)``); the
 default row path must run without loading it, because the import alone
-costs a server process ≈14 MB of resident memory.  The check runs in a
-fresh interpreter so no other test's imports leak into ``sys.modules``.
+costs a server process ≈14 MB of resident memory.  Nothing in the engine
+forks worker processes, so ``multiprocessing`` (≈1 MB and ≈13 ms to
+import) must not load either.  The check runs in a fresh interpreter so
+no other test's imports leak into ``sys.modules``.
 """
 
 import os
@@ -44,7 +46,11 @@ ROW_PATH_MIX = textwrap.dedent(
             client.execute("UPDATE kv SET v = 0 WHERE k = 11")
             client.execute("SELECT note FROM kv WHERE k = 11")
 
-    loaded = sorted(m for m in sys.modules if m == "numpy" or ".columnar" in m)
+    loaded = sorted(
+        m
+        for m in sys.modules
+        if m in ("numpy", "multiprocessing") or ".columnar" in m
+    )
     print(",".join(loaded))
     """
 )
